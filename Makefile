@@ -33,8 +33,8 @@ lint-fixtures:
 check: build test lint
 
 # The concurrency-sensitive packages under the race detector: the
-# sharded fleet harness, the telemetry hub, the fault-injection layer,
-# and the control plane's micro-service loops vs. concurrent injectors —
+# sharded fleet harness, the fault-injection layer, and the control
+# plane's micro-service loops vs. concurrent injectors —
 # including the chaos property/determinism tests those packages carry.
 # The engine's differential suite (fault-injected DDL vs. concurrent
 # build paths) runs under race too. Part of tier-1 verify.
@@ -44,7 +44,7 @@ check: build test lint
 # definition — many client goroutines against one engine — so both
 # packages run their full suites under race.
 race:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/telemetry ./internal/controlplane ./internal/faults ./internal/metrics ./internal/trace ./internal/serve ./internal/wire
+	$(GO) test -race -count=1 ./internal/fleet ./internal/controlplane ./internal/faults ./internal/metrics ./internal/trace ./internal/serve ./internal/wire
 	$(GO) test -race -count=1 -run 'Differential' ./internal/engine
 
 vet:

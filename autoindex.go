@@ -23,7 +23,6 @@ import (
 	"autoindex/internal/controlplane"
 	"autoindex/internal/engine"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 )
 
 // Re-exported types so callers need only this package for common use.
@@ -64,7 +63,7 @@ func NewRegion(seed int64) *Region {
 	clock := sim.NewClock()
 	return &Region{
 		clock:     clock,
-		plane:     controlplane.New(controlplane.DefaultConfig(), clock, controlplane.NewMemStore(), telemetry.NewHub(0)),
+		plane:     controlplane.New(controlplane.DefaultConfig(), clock, controlplane.NewMemStore()),
 		seed:      seed,
 		StepEvery: time.Hour,
 	}
@@ -76,7 +75,7 @@ func NewRegionWithConfig(seed int64, cfg controlplane.Config) *Region {
 	clock := sim.NewClock()
 	return &Region{
 		clock:     clock,
-		plane:     controlplane.New(cfg, clock, controlplane.NewMemStore(), telemetry.NewHub(0)),
+		plane:     controlplane.New(cfg, clock, controlplane.NewMemStore()),
 		seed:      seed,
 		StepEvery: time.Hour,
 	}
@@ -169,7 +168,6 @@ func Dashboard(regions map[string]*Region) []DashboardRow {
 // DashboardTotal sums the per-region rows into a global view.
 func DashboardTotal(rows []DashboardRow) OperationalStats {
 	var total OperationalStats
-	var implemented, reverts int64
 	for _, r := range rows {
 		total.Databases += r.Stats.Databases
 		total.CreateRecommended += r.Stats.CreateRecommended
@@ -179,11 +177,15 @@ func DashboardTotal(rows []DashboardRow) OperationalStats {
 		total.Validations += r.Stats.Validations
 		total.Reverts += r.Stats.Reverts
 		total.Incidents += r.Stats.Incidents
-		implemented += r.Stats.CreatesImplemented + r.Stats.DropsImplemented
-		reverts += r.Stats.Reverts
+		total.WriteRegressionReverts += r.Stats.WriteRegressionReverts
+		total.WriteRegressionRevertsMI += r.Stats.WriteRegressionRevertsMI
+		total.SelectRegressionReverts += r.Stats.SelectRegressionReverts
 	}
-	if implemented > 0 {
-		total.RevertRate = float64(reverts) / float64(implemented)
+	if implemented := total.CreatesImplemented + total.DropsImplemented; implemented > 0 {
+		total.RevertRate = float64(total.Reverts) / float64(implemented)
+	}
+	if total.Reverts > 0 {
+		total.WriteRegressionShare = float64(total.WriteRegressionReverts) / float64(total.Reverts)
 	}
 	return total
 }

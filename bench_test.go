@@ -104,11 +104,10 @@ func BenchmarkRevertRate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hub := res.Plane.Telemetry()
 		b.ReportMetric(res.Stats.RevertRate*100, "revert_rate_%")
-		b.ReportMetric(float64(hub.Counter("reverts.write_regression")), "write_regr_reverts")
-		b.ReportMetric(float64(hub.Counter("reverts.select_regression")), "select_regr_reverts")
-		b.ReportMetric(float64(hub.Counter("reverts.write_regression.mi")), "mi_write_reverts")
+		b.ReportMetric(float64(res.Stats.WriteRegressionReverts), "write_regr_reverts")
+		b.ReportMetric(float64(res.Stats.SelectRegressionReverts), "select_regr_reverts")
+		b.ReportMetric(float64(res.Stats.WriteRegressionRevertsMI), "mi_write_reverts")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -103,9 +104,11 @@ func main() {
 	fmt.Println(" ", res.Stats.String())
 	fmt.Printf("  queries >2x faster: %d; databases with >50%% aggregate CPU reduction: %d; steady-state databases: %d\n",
 		res.QueriesTwiceFaster, res.DatabasesHalvedCPU, res.SteadyStateDatabases)
-	fmt.Println("\ntelemetry counters:")
-	for _, c := range res.Plane.Telemetry().Counters() {
-		fmt.Println("  ", c)
+	fmt.Println("\ncontrol-plane counters:")
+	for _, m := range fl.Metrics.Snapshot(false) {
+		if m.Value != nil && *m.Value != 0 && strings.HasPrefix(m.Name, "controlplane.") {
+			fmt.Printf("   %s=%d\n", m.Name, *m.Value)
+		}
 	}
 	if inc := res.Plane.StateStore().Incidents(); len(inc) > 0 {
 		fmt.Printf("\n%d incidents for on-call review:\n", len(inc))
@@ -166,7 +169,7 @@ func main() {
 		})
 		mux.HandleFunc("GET /livestats", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(liveStats(fl, res.Plane, sqlSrv))
+			_ = json.NewEncoder(w).Encode(liveStats(fl, sqlSrv))
 		})
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -251,10 +254,10 @@ type DBLiveStats struct {
 	LiveExecutions int64  `json:"live_executions"`
 }
 
-func liveStats(fl *fleet.Fleet, plane *controlplane.ControlPlane, sqlSrv *serve.Server) LiveStats {
+func liveStats(fl *fleet.Fleet, sqlSrv *serve.Server) LiveStats {
 	st := LiveStats{
-		AnalysisLivePasses:        plane.Telemetry().Counter("analysis.live_workload"),
-		LiveDrivenRecommendations: plane.Telemetry().Counter("recommendations.live_driven"),
+		AnalysisLivePasses:        fl.Metrics.Counter(controlplane.DescAnalysisLiveWorkload).Value(),
+		LiveDrivenRecommendations: fl.Metrics.Counter(controlplane.DescRecsLiveDriven).Value(),
 	}
 	if sqlSrv != nil {
 		st.SessionsActive = sqlSrv.ActiveSessions()

@@ -66,7 +66,7 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "tenant worker pool size (results are identical at any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		chaosOn    = flag.Bool("chaos", false, "inject seeded faults (opstats/reverts only) and audit invariants")
-		faultRate  = flag.Float64("chaos-fault-rate", 0.05, "per-opportunity probability of engine/telemetry/querystore faults")
+		faultRate  = flag.Float64("chaos-fault-rate", 0.05, "per-opportunity probability of engine and querystore faults")
 		crashRate  = flag.Float64("chaos-crash-rate", 0.02, "per-save probability of each control-plane crash point")
 		metricsOut = flag.String("metrics-out", "", "write the run's deterministic metrics snapshot (JSON) to this file; byte-identical for a given seed at any -workers")
 	)

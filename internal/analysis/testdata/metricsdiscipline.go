@@ -71,11 +71,11 @@ func lazyInvalidationDesc(reason string) *metrics.Desc {
 }
 
 func wallClockTracer(reg *metrics.Registry) *trace.Tracer {
-	return trace.New(nil, sim.WallClock{}, reg) // want "metricsdiscipline: trace.New given sim.WallClock"
+	return trace.New(sim.WallClock{}, reg) // want "metricsdiscipline: trace.New given sim.WallClock"
 }
 
 // virtualTracer is the sanctioned form: spans timed on the seeded
 // virtual clock.
 func virtualTracer(reg *metrics.Registry) *trace.Tracer {
-	return trace.New(nil, sim.NewClock(), reg)
+	return trace.New(sim.NewClock(), reg)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"autoindex/internal/metrics"
 )
 
 // This file is the user-facing surface of §2: list current
@@ -108,28 +110,36 @@ type OperationalStats struct {
 	RevertRate           float64
 	WriteRegressionShare float64
 	Incidents            int64
+	// Revert causes: every revert is either a write regression or a
+	// SELECT regression; WriteRegressionRevertsMI is the MI-sourced
+	// part of the former.
+	WriteRegressionReverts   int64
+	WriteRegressionRevertsMI int64
+	SelectRegressionReverts  int64
 }
 
-// OpStats aggregates the current operational counters.
+// OpStats aggregates the current operational counters from the plane's
+// metrics registry.
 func (cp *ControlPlane) OpStats() OperationalStats {
-	h := cp.hub
-	implemented := h.Counter("implemented.create") + h.Counter("implemented.drop")
-	reverts := h.Counter("reverts.triggered")
+	c := func(d *metrics.Desc) int64 { return cp.reg.Counter(d).Value() }
 	s := OperationalStats{
-		Databases:          len(cp.sortedManaged()),
-		CreateRecommended:  h.Counter("recommendations.create"),
-		DropRecommended:    h.Counter("recommendations.drop"),
-		CreatesImplemented: h.Counter("implemented.create"),
-		DropsImplemented:   h.Counter("implemented.drop"),
-		Validations:        h.Counter("validations"),
-		Reverts:            reverts,
-		Incidents:          h.Counter("incidents"),
+		Databases:                len(cp.sortedManaged()),
+		CreateRecommended:        c(descRecsCreate),
+		DropRecommended:          c(descRecsDrop),
+		CreatesImplemented:       c(descImplementedCreate),
+		DropsImplemented:         c(descImplementedDrop),
+		Validations:              c(descValidations),
+		Reverts:                  c(descReverts),
+		Incidents:                c(descIncidents),
+		WriteRegressionReverts:   c(descRevertsWriteRegression),
+		WriteRegressionRevertsMI: c(descRevertsWriteRegressionMI),
+		SelectRegressionReverts:  c(descRevertsSelectRegression),
 	}
-	if implemented > 0 {
-		s.RevertRate = float64(reverts) / float64(implemented)
+	if implemented := s.CreatesImplemented + s.DropsImplemented; implemented > 0 {
+		s.RevertRate = float64(s.Reverts) / float64(implemented)
 	}
-	if reverts > 0 {
-		s.WriteRegressionShare = float64(h.Counter("reverts.write_regression")) / float64(reverts)
+	if s.Reverts > 0 {
+		s.WriteRegressionShare = float64(s.WriteRegressionReverts) / float64(s.Reverts)
 	}
 	return s
 }

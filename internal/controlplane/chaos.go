@@ -11,7 +11,7 @@ import (
 //     decision never reached durable storage — on restart the transition
 //     is lost and must be re-derived.
 //   - after-save: the transition is durable but everything the control
-//     plane did afterwards in that step (in-memory bookkeeping, telemetry,
+//     plane did afterwards in that step (in-memory bookkeeping, counters,
 //     follow-on work) is lost.
 //
 // Record saves are the only crash points because they are the state

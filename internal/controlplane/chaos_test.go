@@ -72,7 +72,7 @@ func newChaosCase(t *testing.T, seed int64) *chaosCase {
 	mem := NewMemStore()
 	store := NewCrashStore(mem, crashIn)
 	build := func() *ControlPlane {
-		cp := New(cfg, clock, store, nil)
+		cp := New(cfg, clock, store)
 		cp.Manage(db, "srv", Settings{AutoCreate: true, AutoDrop: true})
 		return cp
 	}
@@ -226,7 +226,7 @@ func driveRun(t *testing.T, dir string, restartEachHour bool) (map[string]RecSta
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := New(cfg, clock, fs, nil)
+		cp := New(cfg, clock, fs)
 		cp.Manage(db, "srv", Settings{AutoCreate: true, AutoDrop: true})
 		return cp
 	}
@@ -338,7 +338,7 @@ func TestClassifyImplementErrorWrapped(t *testing.T) {
 // through handleImplementError: a deeply wrapped transient failure must
 // land in Retry with backoff, not terminal Error.
 func TestWrappedTransientErrorRetriesEndToEnd(t *testing.T) {
-	cp := New(DefaultConfig(), sim.NewClock(), NewMemStore(), nil)
+	cp := New(DefaultConfig(), sim.NewClock(), NewMemStore())
 	r := &Record{
 		Recommendation: core.Recommendation{ID: "rec-db-000001", Database: "db", Action: core.ActionCreateIndex},
 		State:          StateImplementing,

@@ -8,6 +8,7 @@ import (
 
 	"autoindex/internal/core"
 	"autoindex/internal/engine"
+	"autoindex/internal/metrics"
 	"autoindex/internal/schema"
 	"autoindex/internal/sim"
 )
@@ -116,7 +117,7 @@ func newPlaneHarness(t *testing.T, settings Settings) *planeHarness {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO items (id, cat, price) VALUES (%d, %d, %d.5)`, i, i%200, i))
 	}
 	db.RebuildAllStats()
-	cp := New(cfg, clock, NewMemStore(), nil)
+	cp := New(cfg, clock, NewMemStore())
 	cp.Manage(db, "srv", settings)
 	return &planeHarness{clock: clock, cp: cp, db: db}
 }
@@ -304,7 +305,7 @@ func TestControlPlaneRestartResumes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalyzeEvery = time.Hour
 	cfg.ValidationWindow = 4 * time.Hour
-	cp2 := New(cfg, h.clock, store, nil)
+	cp2 := New(cfg, h.clock, store)
 	cp2.Manage(h.db, "srv", Settings{AutoCreate: true})
 	h.cp = cp2
 	h.tick(t, 30, 20)
@@ -328,6 +329,50 @@ func TestOpStatsCounters(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("string")
+	}
+}
+
+// TestOpStatsAcrossRestart pins the counter contract behind OpStats:
+// counts live in the metrics registry, not in the store, so a plane
+// rebuilt over the same store and the same registry carries on counting
+// where its predecessor stopped.
+func TestOpStatsAcrossRestart(t *testing.T) {
+	h := newPlaneHarness(t, Settings{AutoCreate: true, AutoDrop: true})
+	store := h.cp.StateStore()
+	cfg := DefaultConfig()
+	cfg.AnalyzeEvery = time.Hour
+	cfg.ValidationWindow = 4 * time.Hour
+	cfg.Metrics = metrics.NewRegistry()
+	restart := func() *ControlPlane {
+		cp := New(cfg, h.clock, store)
+		cp.Manage(h.db, "srv", Settings{AutoCreate: true, AutoDrop: true})
+		return cp
+	}
+	h.cp = restart()
+	// Restart between implementation and validation, so the validation
+	// is counted by the second incarnation.
+	for i := 0; i < 24 && h.cp.OpStats().CreatesImplemented == 0; i++ {
+		h.tick(t, 1, 20)
+	}
+	before := h.cp.OpStats()
+	if before.CreatesImplemented == 0 {
+		t.Fatalf("precondition: nothing implemented before the restart: %+v", before)
+	}
+
+	h.cp = restart()
+	if got := h.cp.OpStats(); got != before {
+		t.Fatalf("restart changed OpStats:\n got %+v\nwant %+v", got, before)
+	}
+	h.tick(t, 30, 20)
+	after := h.cp.OpStats()
+	if after.Validations <= before.Validations || after.CreatesImplemented < before.CreatesImplemented {
+		t.Fatalf("restarted plane did not keep counting: before %+v, after %+v", before, after)
+	}
+
+	// A plane over the same store but a fresh registry starts from zero:
+	// the store holds records, not counts.
+	if got := New(DefaultConfig(), h.clock, store).OpStats(); got.CreatesImplemented != 0 || got.Validations != 0 {
+		t.Fatalf("fresh registry reported counts: %+v", got)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestImplementationWaitsForMaintenanceWindow(t *testing.T) {
 		db.Exec(fmt.Sprintf(`INSERT INTO t (id, a) VALUES (%d, %d)`, i, i%80)) //nolint:errcheck
 	}
 	db.RebuildAllStats()
-	cp := New(cfg, clock, NewMemStore(), nil)
+	cp := New(cfg, clock, NewMemStore())
 	cp.Manage(db, "srv", Settings{AutoCreate: true})
 	// File a ready recommendation directly at 00:xx — outside the window.
 	clock.Advance(10 * time.Minute)
@@ -105,7 +105,7 @@ func TestCrossDatabaseCandidates(t *testing.T) {
 	clock := sim.NewClock()
 	cfg := DefaultConfig()
 	cfg.AnalyzeEvery = time.Hour
-	cp := New(cfg, clock, NewMemStore(), nil)
+	cp := New(cfg, clock, NewMemStore())
 	var dbs []*engine.Database
 	for i := 0; i < 4; i++ {
 		db := engine.New(engine.DefaultConfig(fmt.Sprintf("tenant%d", i), engine.TierBasic, int64(100+i)), clock)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -94,8 +93,5 @@ func (fs *FileStore) SaveIncident(i Incident) error {
 	}
 	return fs.flush()
 }
-
-// Path returns the journal location.
-func (fs *FileStore) Path() string { return filepath.Clean(fs.path) }
 
 var _ Store = (*FileStore)(nil)

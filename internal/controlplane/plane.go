@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"autoindex/internal/core"
-	"autoindex/internal/costcache"
 	"autoindex/internal/dropper"
 	"autoindex/internal/engine"
 	"autoindex/internal/mathx"
@@ -18,7 +17,6 @@ import (
 	"autoindex/internal/recommend/dta"
 	"autoindex/internal/recommend/mi"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/trace"
 	"autoindex/internal/validate"
 )
@@ -69,10 +67,13 @@ type Config struct {
 	// IndexNamePrefix, when set, prefixes every auto-created index name
 	// (§8.2: customers asked to control the naming scheme).
 	IndexNamePrefix string
-	// Metrics, when non-nil, receives the control plane's
-	// self-instrumentation (transition counters, validation verdicts,
-	// step latency) and backs the tuning-session tracer. Nil disables
-	// both without branching at call sites.
+	// Metrics receives the control plane's counters (recommendation
+	// lifecycle, validation verdicts, revert causes, step latency) and
+	// backs the tuning-session tracer; OpStats reads it back. New
+	// allocates a private registry when it is nil. A plane rebuilt after
+	// a crash must be handed the same registry as the incarnation it
+	// replaces — the fleet passes one registry to the initial plane and
+	// to every CrashRunner rebuild — so counts continue across restarts.
 	Metrics *metrics.Registry
 }
 
@@ -108,7 +109,6 @@ type ControlPlane struct {
 	cfg    Config
 	clock  sim.Clock
 	store  Store
-	hub    *telemetry.Hub
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 
@@ -122,22 +122,21 @@ type ControlPlane struct {
 }
 
 // New creates a control plane.
-func New(cfg Config, clock sim.Clock, store Store, hub *telemetry.Hub) *ControlPlane {
+func New(cfg Config, clock sim.Clock, store Store) *ControlPlane {
 	if cfg.AnalyzeEvery == 0 {
 		reg := cfg.Metrics
 		cfg = DefaultConfig()
 		cfg.Metrics = reg
 	}
-	if hub == nil {
-		hub = telemetry.NewHub(0)
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
 	return &ControlPlane{
 		cfg:        cfg,
 		clock:      clock,
 		store:      store,
-		hub:        hub,
 		reg:        cfg.Metrics,
-		tracer:     trace.New(hub, clock, cfg.Metrics),
+		tracer:     trace.New(clock, cfg.Metrics),
 		dbs:        make(map[string]*managed),
 		server:     make(map[string]ServerSettings),
 		recSeq:     recoverRecSeq(store),
@@ -163,9 +162,6 @@ func recoverRecSeq(store Store) int64 {
 	return max
 }
 
-// Telemetry exposes the hub.
-func (cp *ControlPlane) Telemetry() *telemetry.Hub { return cp.hub }
-
 // Store exposes the state store (read-mostly; for dashboards and tests).
 func (cp *ControlPlane) StateStore() Store { return cp.store }
 
@@ -183,11 +179,6 @@ func (cp *ControlPlane) Manage(db *engine.Database, server string, settings Sett
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	m := &managed{db: db, server: server, miRec: mi.NewWithClassifier(db, cp.cfg.MI, cp.classifier)}
-	// Surface plan-cost-cache churn from stats refreshes in fleet telemetry:
-	// a tenant whose stats rebuild every pass never keeps a warm cache.
-	db.SetStatsRefreshHook(func(table, column string) {
-		cp.hub.Inc("costcache.stats_invalidations", 1)
-	})
 	cp.dbs[strings.ToLower(db.Name())] = m
 	now := cp.clock.Now()
 	if ds, ok := cp.store.GetDatabase(db.Name()); ok {
@@ -225,7 +216,7 @@ func (cp *ControlPlane) sortedManaged() []*managed {
 }
 
 // Step advances every micro-service by one round. Fleet simulations
-// interleave Step with workload replay; RunLoop drives it on wall time.
+// interleave Step with workload replay.
 func (cp *ControlPlane) Step() { cp.stepFiltered(nil) }
 
 // StepFor advances the micro-services for the subset of managed databases
@@ -275,20 +266,6 @@ func (cp *ControlPlane) DatabasesWithOpenRecords() map[string]bool {
 	return open
 }
 
-// RunLoop drives Step every interval until stop is closed (for the daemon
-// binary running on a wall clock).
-func (cp *ControlPlane) RunLoop(interval time.Duration, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		cp.Step()
-		cp.clock.Sleep(interval)
-	}
-}
-
 // ---- micro-services ----
 
 // snapshotService takes periodic MI DMV snapshots (§5.2).
@@ -308,7 +285,7 @@ func (cp *ControlPlane) snapshotService(include func(string) bool) {
 		m.miRec.TakeSnapshot()
 		ds.LastSnapshot = now
 		cp.store.SaveDatabase(ds)
-		cp.hub.Inc("snapshots", 1)
+		cp.reg.Counter(descMISnapshots).Inc()
 	}
 }
 
@@ -327,22 +304,13 @@ func (cp *ControlPlane) analysisService(include func(string) bool) {
 		ds.LastAnalysis = now
 		source := cp.cfg.Policy(m.db)
 		// One tuning-session span per analyzed database; the DTA / MI
-		// pass runs as a child span. Analysis is serial (inside Step),
-		// so span order in the hub is deterministic.
-		sp := cp.tracer.Start(m.db.Name(), "tuning-session")
-		sp.Annotate("source", source)
+		// pass runs as a child span.
+		sp := cp.tracer.Start()
 		// Workload provenance: did live wire-protocol traffic contribute
-		// to the Query Store this pass mines? Annotated only when live
-		// executions exist, so purely simulated runs keep their span
-		// snapshots byte-identical.
-		totalExecs, liveExecs := m.db.QueryStore().ExecutionTotals()
+		// to the Query Store this pass mines?
+		_, liveExecs := m.db.QueryStore().ExecutionTotals()
 		if liveExecs > 0 {
-			workload := "mixed"
-			if liveExecs == totalExecs {
-				workload = "live"
-			}
-			sp.Annotate("workload", workload)
-			cp.hub.Inc("analysis.live_workload", 1)
+			cp.reg.Counter(DescAnalysisLiveWorkload).Inc()
 		}
 		var cands []core.Candidate
 		switch source {
@@ -357,15 +325,9 @@ func (cp *ControlPlane) analysisService(include func(string) bool) {
 			opts.AbortCheck = func() bool {
 				return m.db.ConvoyBlockedStatements() > convoyAtStart+10
 			}
-			dsp := sp.Child("dta")
-			// Per-pass plan-cost-cache effectiveness: analysis is serial
-			// inside Step, so before/after counter deltas belong to this run.
-			mreg := m.db.Metrics()
-			hitsBefore := mreg.Counter(costcache.DescHits).Value()
-			missesBefore := mreg.Counter(costcache.DescMisses).Value()
+			dsp := sp.Child()
 			res, err := dta.Run(m.db, opts)
 			if err != nil && !errors.Is(err, dta.ErrAborted) {
-				dsp.Annotate("error", err)
 				dsp.End()
 				sp.End()
 				ds.DTASession = "error"
@@ -375,23 +337,19 @@ func (cp *ControlPlane) analysisService(include func(string) bool) {
 			}
 			if res != nil {
 				cands = res.Recommendations
-				dsp.Annotate("whatif_calls", res.WhatIfCalls)
-				dsp.Annotate("cache_hits", mreg.Counter(costcache.DescHits).Value()-hitsBefore)
-				dsp.Annotate("cache_misses", mreg.Counter(costcache.DescMisses).Value()-missesBefore)
-				dsp.Annotate("aborted", res.Aborted)
-				cp.hub.Inc("dta.sessions", 1)
-				cp.hub.Inc("dta.whatif_calls", res.WhatIfCalls)
+				cp.reg.Counter(descDTASessions).Inc()
+				cp.reg.Counter(descDTAWhatIfCalls).Add(res.WhatIfCalls)
 				if res.Aborted {
-					cp.hub.Inc("dta.aborted", 1)
+					cp.reg.Counter(descDTAAborted).Inc()
 				}
 			}
 			dsp.End()
 			ds.DTASession = "completed"
 		default:
-			msp := sp.Child("mi")
+			msp := sp.Child()
 			cands = m.miRec.Recommend()
 			msp.End()
-			cp.hub.Inc("mi.analyses", 1)
+			cp.reg.Counter(descMIAnalyses).Inc()
 		}
 		cp.store.SaveDatabase(ds)
 		created, filedLive := 0, 0
@@ -406,14 +364,7 @@ func (cp *ControlPlane) analysisService(include func(string) bool) {
 				}
 			}
 		}
-		sp.Annotate("candidates", len(cands))
-		sp.Annotate("filed", created)
-		if liveExecs > 0 {
-			sp.Annotate("filed_live", filedLive)
-			if filedLive > 0 {
-				cp.hub.Inc("recommendations.live_driven", int64(filedLive))
-			}
-		}
+		cp.reg.Counter(DescRecsLiveDriven).Add(int64(filedLive))
 		sp.End()
 	}
 }
@@ -486,8 +437,7 @@ func (cp *ControlPlane) fileCreateRecommendation(m *managed, c core.Candidate, n
 		UpdatedAt: now,
 	}
 	cp.store.SaveRecord(rec)
-	cp.hub.Inc("recommendations.create", 1)
-	cp.hub.Emit(telemetry.Event{At: now, Database: m.db.Name(), Kind: "recommendation", Detail: "create " + c.Def.Name})
+	cp.reg.Counter(descRecsCreate).Inc()
 	return true
 }
 
@@ -530,7 +480,7 @@ func (cp *ControlPlane) dropScanService(include func(string) bool) {
 				UpdatedAt: now,
 			}
 			cp.store.SaveRecord(rec)
-			cp.hub.Inc("recommendations.drop", 1)
+			cp.reg.Counter(descRecsDrop).Inc()
 		}
 	}
 }

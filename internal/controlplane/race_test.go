@@ -9,7 +9,6 @@ import (
 	"autoindex/internal/core"
 	"autoindex/internal/schema"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/workload"
 )
 
@@ -31,7 +30,7 @@ func TestConcurrentInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewMemStore()
-	cp := New(DefaultConfig(), clock, store, telemetry.NewHub(1024))
+	cp := New(DefaultConfig(), clock, store)
 	cp.Manage(tn.DB, "server-0", Settings{AutoCreate: true, AutoDrop: true})
 	tn.Run(0, 200) // give the analysis service a workload to chew on
 

@@ -8,7 +8,6 @@ import (
 	"autoindex/internal/core"
 	"autoindex/internal/engine"
 	"autoindex/internal/schema"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/validate"
 )
 
@@ -114,9 +113,7 @@ func (cp *ControlPlane) serverSettings(server string) ServerSettings {
 // built, a drop treats an already-absent index as goal met.
 func (cp *ControlPlane) executeImplement(m *managed, r *Record) {
 	now := cp.clock.Now()
-	sp := cp.tracer.Start(r.Database, "implement")
-	sp.Annotate("rec", r.ID)
-	sp.Annotate("action", r.Action)
+	sp := cp.tracer.Start()
 	defer sp.End() // covers the index build's virtual duration
 	var err error
 	switch r.Action {
@@ -155,11 +152,10 @@ func (cp *ControlPlane) executeImplement(m *managed, r *Record) {
 	}
 	cp.store.SaveRecord(r)
 	if r.Action == core.ActionCreateIndex {
-		cp.hub.Inc("implemented.create", 1)
+		cp.reg.Counter(descImplementedCreate).Inc()
 	} else {
-		cp.hub.Inc("implemented.drop", 1)
+		cp.reg.Counter(descImplementedDrop).Inc()
 	}
-	cp.hub.Emit(telemetry.Event{At: now, Database: r.Database, Kind: "implemented", Detail: r.Action.String() + " " + r.Index.Name})
 }
 
 // errorClass buckets an implementation error per the paper's taxonomy (§4).
@@ -212,7 +208,7 @@ func (cp *ControlPlane) handleImplementError(r *Record, err error, failedAt RecS
 		r.SubState = "well-known-error"
 		_ = cp.transition(r, StateError, now)
 		cp.store.SaveRecord(r)
-		cp.hub.Inc("errors.terminal", 1)
+		cp.reg.Counter(descErrorsTerminal).Inc()
 		return
 	case errClassTransient:
 		r.Attempts++
@@ -221,14 +217,14 @@ func (cp *ControlPlane) handleImplementError(r *Record, err error, failedAt RecS
 			r.SubState = "transient-error"
 			_ = cp.transition(r, StateRetry, now)
 			cp.store.SaveRecord(r)
-			cp.hub.Inc("errors.transient", 1)
+			cp.reg.Counter(descErrorsTransient).Inc()
 			return
 		}
 	}
 	r.SubState = "unrecognized-error"
 	_ = cp.transition(r, StateError, now)
 	cp.store.SaveRecord(r)
-	cp.hub.Inc("errors.incident", 1)
+	cp.reg.Counter(descErrorsIncident).Inc()
 	cp.incident(r.Database, r.ID, "implementation-failure", err.Error())
 }
 
@@ -245,12 +241,10 @@ func (cp *ControlPlane) validationService(include func(string) bool) {
 			continue
 		}
 		created := r.Action == core.ActionCreateIndex
-		sp := cp.tracer.Start(r.Database, "validate")
-		sp.Annotate("rec", r.ID)
+		sp := cp.tracer.Start()
 		outcome := validate.Validate(m.db.QueryStore(), r.Index.Name, created,
 			r.ImplementedAt, cp.cfg.ValidationWindow, cp.cfg.Validator)
 		r.Validation = &outcome
-		cp.hub.Inc("validations", 1)
 		cp.reg.Counter(descValidations).Inc()
 		switch outcome.Verdict {
 		case validate.VerdictImproved:
@@ -260,8 +254,6 @@ func (cp *ControlPlane) validationService(include func(string) bool) {
 		default:
 			cp.reg.Counter(descValidationsInconclusive).Inc()
 		}
-		sp.Annotate("verdict", outcome.Verdict)
-		sp.Annotate("revert", outcome.Revert)
 		// Feed the outcome back into the MI classifier (§5.2).
 		if r.Source == core.SourceMI && len(r.Features) > 0 {
 			m.miRec.TrainFromValidation(r.Features, outcome.Verdict == validate.VerdictImproved)
@@ -269,7 +261,6 @@ func (cp *ControlPlane) validationService(include func(string) bool) {
 		if outcome.Revert {
 			_ = cp.transition(r, StateReverting, now)
 			cp.store.SaveRecord(r)
-			cp.hub.Inc("reverts.triggered", 1)
 			cp.reg.Counter(descReverts).Inc()
 			cp.classifyRevert(m, r, &outcome)
 			sp.End()
@@ -278,15 +269,15 @@ func (cp *ControlPlane) validationService(include func(string) bool) {
 		r.SubState = string("validated-" + outcome.Verdict.String())
 		_ = cp.transition(r, StateSuccess, now)
 		cp.store.SaveRecord(r)
-		cp.hub.Inc("validations.success", 1)
+		cp.reg.Counter(descValidationsSuccess).Inc()
 		if outcome.Verdict == validate.VerdictImproved {
-			cp.hub.Inc("validations.improved", 1)
+			cp.reg.Counter(descValidationsKeptImproved).Inc()
 		}
 		sp.End()
 	}
 }
 
-// classifyRevert attributes the revert cause for the §8.1 telemetry: MI
+// classifyRevert attributes the revert cause for the §8.1 counters: MI
 // reverts skew to writes becoming more expensive (maintenance costs it
 // never modelled); SELECT regressions implicate optimizer estimation
 // error.
@@ -302,12 +293,12 @@ func (cp *ControlPlane) classifyRevert(m *managed, r *Record, outcome *validate.
 		}
 	}
 	if writeRegression {
-		cp.hub.Inc("reverts.write_regression", 1)
+		cp.reg.Counter(descRevertsWriteRegression).Inc()
 		if r.Source == core.SourceMI {
-			cp.hub.Inc("reverts.write_regression.mi", 1)
+			cp.reg.Counter(descRevertsWriteRegressionMI).Inc()
 		}
 	} else {
-		cp.hub.Inc("reverts.select_regression", 1)
+		cp.reg.Counter(descRevertsSelectRegression).Inc()
 	}
 }
 
@@ -352,8 +343,7 @@ func (cp *ControlPlane) revertService(include func(string) bool) {
 		}
 		_ = cp.transition(r, StateReverted, now)
 		cp.store.SaveRecord(r)
-		cp.hub.Inc("reverts.completed", 1)
-		cp.hub.Emit(telemetry.Event{At: now, Database: r.Database, Kind: "reverted", Detail: r.Index.Name})
+		cp.reg.Counter(descRevertsCompleted).Inc()
 	}
 }
 
@@ -373,7 +363,7 @@ func (cp *ControlPlane) expiryService(include func(string) bool) {
 			r.SubState = "aged-out"
 			_ = cp.transition(r, StateExpired, now)
 			cp.store.SaveRecord(r)
-			cp.hub.Inc("expired", 1)
+			cp.reg.Counter(descExpired).Inc()
 			continue
 		}
 		for _, newer := range active {
@@ -384,7 +374,7 @@ func (cp *ControlPlane) expiryService(include func(string) bool) {
 				r.SubState = "invalidated-by-" + newer.ID
 				_ = cp.transition(r, StateExpired, now)
 				cp.store.SaveRecord(r)
-				cp.hub.Inc("expired", 1)
+				cp.reg.Counter(descExpired).Inc()
 				break
 			}
 		}
@@ -425,5 +415,5 @@ func (cp *ControlPlane) incident(db, recID, kind, msg string) {
 		Kind:     kind,
 		Message:  msg,
 	})
-	cp.hub.Inc("incidents", 1)
+	cp.reg.Counter(descIncidents).Inc()
 }

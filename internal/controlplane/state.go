@@ -3,8 +3,7 @@
 // machine for every managed database. It is structured as micro-services
 // — snapshotting, analysis, implementation, validation, revert, expiry and
 // health detection — each advanced by Step so fleet simulations stay
-// deterministic under virtual time (a RunLoop wrapper drives Step on wall
-// clock for the daemon binary). All state lives behind the Store
+// deterministic under virtual time. All state lives behind the Store
 // interface; the in-memory store optionally journals to disk so a
 // restarted control plane resumes where it left off.
 package controlplane

@@ -136,8 +136,6 @@ type Database struct {
 	// makes the rebuild bit-identical anyway).
 	dataVersion  int64
 	statsVersion map[string]int64
-	// statsRefreshHook, when set, observes every real statistics rebuild.
-	statsRefreshHook func(table, column string)
 
 	qs      *querystore.Store
 	miDMV   *dmv.MissingIndexStore
@@ -287,15 +285,6 @@ func (d *Database) SetMetrics(reg *metrics.Registry) {
 // read and fill it; the engine invalidates it on stats refresh, schema
 // change, and data change.
 func (d *Database) PlanCostCache() *costcache.Cache { return d.costCache }
-
-// SetStatsRefreshHook installs an observer called after every real
-// (non-skipped) statistics rebuild; the control plane uses it to count
-// stats-driven cache invalidations per tenant. Pass nil to remove.
-func (d *Database) SetStatsRefreshHook(h func(table, column string)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.statsRefreshHook = h
-}
 
 // DeriveRNG derives a named child stream from the database's root RNG.
 // Name-keyed derivation means a new consumer never perturbs the draws of
@@ -532,9 +521,7 @@ func (d *Database) rebuildColumnStats(table, column string) (*stats.ColumnStats,
 	d.colStat[key] = st
 	d.statsVersion[key] = d.dataVersion
 	d.costCache.Invalidate(costcache.StatsRefresh)
-	if d.statsRefreshHook != nil {
-		d.statsRefreshHook(t.def.Name, column)
-	}
+	d.reg.Counter(descStatsRebuilds).Inc()
 	return st, true
 }
 
@@ -589,17 +576,6 @@ func (d *Database) IndexDef(name string) (schema.IndexDef, bool) {
 		return schema.IndexDef{}, false
 	}
 	return ix.def.Clone(), true
-}
-
-// IndexSizeBytes returns the estimated on-disk size of an index.
-func (d *Database) IndexSizeBytes(name string) (int64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ix, ok := d.indexes[strings.ToLower(name)]
-	if !ok {
-		return 0, false
-	}
-	return ix.sizeBytes, true
 }
 
 // RowCount returns a table's row count.

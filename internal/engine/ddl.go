@@ -434,18 +434,3 @@ func (d *Database) RenameColumn(table, oldName, newName string) error {
 	d.mu.Unlock()
 	return nil
 }
-
-// DroppedAutoIndexes is a helper for tests: names of auto-created indexes
-// referencing a column (the cascade candidates).
-func (d *Database) DroppedAutoIndexes(table, column string) []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []string
-	for _, ix := range d.indexes {
-		if strings.EqualFold(ix.def.Table, table) && ix.def.HasColumn(column) && ix.def.AutoCreated {
-			out = append(out, ix.def.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

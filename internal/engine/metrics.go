@@ -3,7 +3,8 @@ package engine
 import "autoindex/internal/metrics"
 
 // Engine-side instrumentation: statement throughput, index DDL cost
-// (build durations, lock waits), and chaos fault-point trips. All
+// (build durations, lock waits), statistics rebuilds, and chaos
+// fault-point trips. All
 // values are int64 and updated with commutative atomic adds, so fleet
 // totals are identical at any worker count.
 var (
@@ -23,4 +24,6 @@ var (
 		"DDL lock acquisitions that timed out (injected or real)")
 	descFaultTrips = metrics.NewCounterDesc("engine.fault_trips",
 		"chaos fault points tripped inside engine DDL paths")
+	descStatsRebuilds = metrics.NewCounterDesc("engine.stats_rebuilds",
+		"column statistics rebuilt over changed data (each flushes the plan-cost cache)")
 )

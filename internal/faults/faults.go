@@ -2,7 +2,7 @@
 // chaos fleet mode. The paper's service is judged on how it degrades, not
 // just how it performs: index builds run out of log space, schema locks
 // time out, the control plane dies between state-machine transitions, and
-// telemetry and Query Store lose data (§4, §6, §8.3). This package names
+// Query Store loses data (§4, §6, §8.3). This package names
 // those failure sites as fault points and decides, from seeded streams,
 // when each one fires.
 //
@@ -29,8 +29,8 @@ type Point string
 
 // The fault-point registry. Engine points fail index DDL with the same
 // error classes real builds produce; control-plane points kill the
-// process at persistence boundaries; telemetry and query-store points
-// lose observability data the validator and dashboards depend on.
+// process at persistence boundaries; the query-store point loses the
+// execution data the validator depends on.
 const (
 	// IndexBuildLogFull fails an index build with engine.ErrLogFull, as a
 	// log-growth race would even for builds that checked space up front.
@@ -52,9 +52,6 @@ const (
 	// write is persisted: the transition survives but all in-memory state
 	// (recommender snapshots, classifier) is lost.
 	PlaneCrashAfterSave Point = "controlplane/crash-after-save"
-	// TelemetryDropEvent silently drops a telemetry event before it
-	// reaches the hub's ring buffer.
-	TelemetryDropEvent Point = "telemetry/drop-event"
 	// QueryStoreDropExecution loses one statement execution before Query
 	// Store aggregates it, thinning or emptying validation windows.
 	QueryStoreDropExecution Point = "querystore/drop-execution"
@@ -76,7 +73,6 @@ func Points() []PointInfo {
 		{DropLockTimeout, "low-priority index drop times out with ErrLockTimeout (transient)"},
 		{PlaneCrashBeforeSave, "control plane dies before persisting a record transition (transition lost)"},
 		{PlaneCrashAfterSave, "control plane dies after persisting a record transition (memory lost)"},
-		{TelemetryDropEvent, "telemetry event dropped before reaching the hub"},
 		{QueryStoreDropExecution, "statement execution lost before Query Store aggregation"},
 	}
 }

@@ -119,12 +119,12 @@ func TestUnconfiguredPointConsumesNothing(t *testing.T) {
 	in := New(3, "s", map[Point]float64{IndexBuildLogFull: 0.5})
 	ref := New(3, "s", map[Point]float64{IndexBuildLogFull: 0.5})
 	for i := 0; i < 50; i++ {
-		in.Should(TelemetryDropEvent) // not configured: no draw, never fires
+		in.Should(QueryStoreDropExecution) // not configured: no draw, never fires
 		if in.Should(IndexBuildLogFull) != ref.Should(IndexBuildLogFull) {
 			t.Fatalf("unconfigured point perturbed configured stream at draw %d", i)
 		}
 	}
-	if in.Fired()[TelemetryDropEvent] != 0 {
+	if in.Fired()[QueryStoreDropExecution] != 0 {
 		t.Fatal("unconfigured point fired")
 	}
 }
@@ -156,7 +156,7 @@ func TestFiredCountersAndFormatting(t *testing.T) {
 func TestRegistryCoversEveryDeclaredPoint(t *testing.T) {
 	declared := []Point{
 		IndexBuildLogFull, IndexBuildLockTimeout, IndexBuildAbort, DropLockTimeout,
-		PlaneCrashBeforeSave, PlaneCrashAfterSave, TelemetryDropEvent, QueryStoreDropExecution,
+		PlaneCrashBeforeSave, PlaneCrashAfterSave, QueryStoreDropExecution,
 	}
 	reg := make(map[Point]bool)
 	for _, pi := range Points() {

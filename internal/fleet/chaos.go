@@ -8,19 +8,18 @@ import (
 	"autoindex/internal/controlplane"
 	"autoindex/internal/faults"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/workload"
 )
 
 // ChaosConfig turns the operational simulation into a fault-injection
-// run: engine DDL failures, control-plane crash/restart cycles, lossy
-// telemetry and thinned query-store windows, all drawn from seeded
+// run: engine DDL failures, control-plane crash/restart cycles and
+// thinned query-store windows, all drawn from seeded
 // per-scope streams so a chaos run is bit-identical for a given fleet
 // seed at any worker count.
 type ChaosConfig struct {
 	Enabled bool
-	// FaultRate is the per-opportunity probability for the engine,
-	// telemetry and query-store fault points.
+	// FaultRate is the per-opportunity probability for the engine and
+	// query-store fault points.
 	FaultRate float64
 	// CrashRate is the per-save probability for each control-plane crash
 	// point (before- and after-save).
@@ -46,8 +45,6 @@ type ChaosReport struct {
 	Crashes map[faults.Point]int64
 	// Restarts is the total number of control-plane rebuilds.
 	Restarts int64
-	// DroppedEvents is the hub's count of telemetry events lost.
-	DroppedEvents int64
 	// DroppedExecutions sums query-store executions lost across tenants.
 	DroppedExecutions int64
 	// DrainHours is how many post-run hours the drain consumed.
@@ -61,8 +58,8 @@ type ChaosReport struct {
 // order.
 func (r *ChaosReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos: %d restarts, %d events dropped, %d executions dropped, drained %dh\n",
-		r.Restarts, r.DroppedEvents, r.DroppedExecutions, r.DrainHours)
+	fmt.Fprintf(&b, "chaos: %d restarts, %d executions dropped, drained %dh\n",
+		r.Restarts, r.DroppedExecutions, r.DrainHours)
 	for _, line := range faults.FormatFired(r.Faults) {
 		fmt.Fprintf(&b, "  fired %s\n", line)
 	}
@@ -86,11 +83,9 @@ type chaosHarness struct {
 	cfg  ChaosConfig
 	seed int64
 
-	hub     *telemetry.Hub
 	mem     controlplane.Store
 	wrapped controlplane.Store
 	crashIn *faults.Injector
-	telemIn *faults.Injector
 
 	managed   []*workload.Tenant
 	settings  map[string]controlplane.Settings
@@ -109,7 +104,6 @@ func newChaosHarness(cfg ChaosConfig, seed int64, mem controlplane.Store) *chaos
 	ch := &chaosHarness{
 		cfg:       cfg,
 		seed:      seed,
-		hub:       telemetry.NewHub(0),
 		mem:       mem,
 		settings:  make(map[string]controlplane.Settings),
 		baselines: make(map[string]controlplane.InvariantTarget),
@@ -121,11 +115,6 @@ func newChaosHarness(cfg ChaosConfig, seed int64, mem controlplane.Store) *chaos
 		faults.PlaneCrashAfterSave:  cfg.CrashRate,
 	})
 	ch.wrapped = controlplane.NewCrashStore(mem, ch.crashIn)
-	ch.telemIn = faults.New(seed, "telemetry", map[faults.Point]float64{
-		faults.TelemetryDropEvent: cfg.FaultRate,
-	})
-	in := ch.telemIn
-	ch.hub.SetDropper(func(telemetry.Event) bool { return in.Should(faults.TelemetryDropEvent) })
 	return ch
 }
 
@@ -156,11 +145,12 @@ func (ch *chaosHarness) enroll(tn *workload.Tenant, s controlplane.Settings) {
 
 // attach builds the crash-recovery runner around the initial plane. The
 // rebuild closure reconstructs a fresh control plane over the same
-// (crash-wrapped) store and re-Manages every enrolled tenant — exactly
-// the restart-time recovery path through the persistence layer.
+// (crash-wrapped) store and the same metrics registry (planeCfg.Metrics),
+// and re-Manages every enrolled tenant — exactly the restart-time
+// recovery path through the persistence layer.
 func (ch *chaosHarness) attach(cp *controlplane.ControlPlane, planeCfg controlplane.Config, clock sim.Clock) {
 	ch.runner = controlplane.NewCrashRunner(cp, func() *controlplane.ControlPlane {
-		np := controlplane.New(planeCfg, clock, ch.wrapped, ch.hub)
+		np := controlplane.New(planeCfg, clock, ch.wrapped)
 		for _, tn := range ch.managed {
 			np.Manage(tn.DB, "server-0", ch.settings[tn.DB.Name()])
 		}
@@ -172,7 +162,6 @@ func (ch *chaosHarness) attach(cp *controlplane.ControlPlane, planeCfg controlpl
 // does not shift schedules relative to a hypothetical longer run).
 func (ch *chaosHarness) disable() {
 	ch.crashIn.Disable()
-	ch.telemIn.Disable()
 	for _, in := range ch.engineIns {
 		in.Disable()
 	}
@@ -221,13 +210,11 @@ func (ch *chaosHarness) drain(f *Fleet) int {
 // drop counters read live query stores.
 func (ch *chaosHarness) report(now time.Time, planeCfg controlplane.Config, drained int) *ChaosReport {
 	rep := &ChaosReport{
-		Faults:        make(map[faults.Point]int64),
-		Crashes:       ch.runner.Crashes,
-		DroppedEvents: ch.hub.Counter("telemetry.dropped"),
-		DrainHours:    drained,
+		Faults:     make(map[faults.Point]int64),
+		Crashes:    ch.runner.Crashes,
+		DrainHours: drained,
 	}
 	faults.MergeFired(rep.Faults, ch.crashIn.Fired())
-	faults.MergeFired(rep.Faults, ch.telemIn.Fired())
 	for _, in := range ch.engineIns {
 		faults.MergeFired(rep.Faults, in.Fired())
 	}

@@ -86,6 +86,13 @@ func chaosOpsReport(t *testing.T, workers int) string {
 	if len(res.Chaos.Violations) != 0 {
 		t.Errorf("invariant violations under chaos:\n%s", res.Chaos.Format())
 	}
+	// Every revert is classified exactly once, crash-restarts included:
+	// the revert counter and its cause counter are bumped with no record
+	// save (and so no crash point) between them.
+	if s := res.Stats; s.Reverts == 0 || s.WriteRegressionReverts+s.SelectRegressionReverts != s.Reverts {
+		t.Errorf("revert causes %d write + %d SELECT, want %d (> 0) reverts in total",
+			s.WriteRegressionReverts, s.SelectRegressionReverts, s.Reverts)
+	}
 	return res.Report() + res.RevertReport() + res.Chaos.Format()
 }
 

@@ -24,7 +24,6 @@ import (
 	"autoindex/internal/metrics"
 	"autoindex/internal/querystore"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/workload"
 )
 
@@ -255,16 +254,15 @@ func (f *Fleet) RunOps(spec Spec, cfg OpsConfig) (*OpsResult, error) {
 // persisting or crash-prone store through here).
 func (f *Fleet) runOps(spec Spec, cfg OpsConfig, mem controlplane.Store) (*OpsResult, error) {
 	store := mem
-	var hub *telemetry.Hub
 	var ch *chaosHarness
 	if cfg.Chaos.Enabled {
 		ch = newChaosHarness(cfg.Chaos, spec.Seed, mem)
-		store, hub = ch.wrapped, ch.hub
+		store = ch.wrapped
 	}
 	if cfg.Plane.Metrics == nil {
 		cfg.Plane.Metrics = f.Metrics
 	}
-	cp := controlplane.New(cfg.Plane, f.Clock, store, hub)
+	cp := controlplane.New(cfg.Plane, f.Clock, store)
 	// manage enrolls a tenant with the current plane incarnation; plane
 	// and step indirect through the crash runner when chaos is on, so a
 	// recovered restart swaps in the rebuilt control plane transparently.

@@ -62,7 +62,7 @@ func newTwin(c *roundTripCase) (*twin, error) {
 		cfg := controlplane.DefaultConfig()
 		cfg.AnalyzeEvery = 2 * time.Hour // recommendations in-flight by hibernation time
 		cfg.Metrics = metrics.NewRegistry()
-		tw.cp = controlplane.New(cfg, clock, controlplane.NewMemStore(), nil)
+		tw.cp = controlplane.New(cfg, clock, controlplane.NewMemStore())
 		tw.cp.Manage(tn.DB, "server-0", controlplane.Settings{AutoCreate: true, AutoDrop: true})
 	}
 	return tw, nil

@@ -87,6 +87,8 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 		"controlplane.validations",
 		"controlplane.step_ms",
 		"controlplane.crash_recoveries",
+		"controlplane.recommendations_create",
+		"controlplane.implemented_create",
 		"fleet.tenant_hours",
 		"trace.spans",
 	} {

@@ -29,14 +29,13 @@ func (r *OpsResult) Report() string {
 // "reverts" experiment output).
 func (r *OpsResult) RevertReport() string {
 	s := r.Stats
-	hub := r.Plane.Telemetry()
 	var b strings.Builder
 	b.WriteString("revert analysis (paper: ~11% of automated actions reverted; MI reverts skew\n")
 	b.WriteString("to writes becoming more expensive; SELECT regressions implicate optimizer error):\n")
 	fmt.Fprintf(&b, "  implemented actions:        %d\n", s.CreatesImplemented+s.DropsImplemented)
 	fmt.Fprintf(&b, "  reverts:                    %d (%.1f%%)\n", s.Reverts, s.RevertRate*100)
 	fmt.Fprintf(&b, "  write-regression reverts:   %d (of which MI-sourced: %d)\n",
-		hub.Counter("reverts.write_regression"), hub.Counter("reverts.write_regression.mi"))
-	fmt.Fprintf(&b, "  SELECT-regression reverts:  %d\n", hub.Counter("reverts.select_regression"))
+		s.WriteRegressionReverts, s.WriteRegressionRevertsMI)
+	fmt.Fprintf(&b, "  SELECT-regression reverts:  %d\n", s.SelectRegressionReverts)
 	return b.String()
 }

@@ -12,7 +12,6 @@ import (
 	"autoindex/internal/engine"
 	"autoindex/internal/metrics"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/workload"
 )
 
@@ -504,12 +503,11 @@ func RunScale(spec ScaleSpec) (*ScaleResult, error) {
 
 	mem := controlplane.NewMemStore()
 	var store controlplane.Store = mem
-	var hub *telemetry.Hub
 	if spec.Chaos.Enabled {
 		s.ch = newChaosHarness(spec.Chaos, spec.Seed, mem)
-		store, hub = s.ch.wrapped, s.ch.hub
+		store = s.ch.wrapped
 	}
-	s.cp = controlplane.New(spec.Plane, s.region, store, hub)
+	s.cp = controlplane.New(spec.Plane, s.region, store)
 	if s.ch != nil {
 		s.ch.attach(s.cp, spec.Plane, s.region)
 	}

@@ -334,30 +334,6 @@ func (s *Store) TotalCPU(from time.Time) float64 {
 	return total
 }
 
-// PlanWindowSample aggregates a (query, plan, metric) over [from, to) into
-// a Sample for the Welch t-test. ok is false if no executions fell in the
-// window.
-func (s *Store) PlanWindowSample(queryHash, planHash uint64, m Metric, from, to time.Time) (mathx.Sample, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	q := s.queries[queryHash]
-	if q == nil {
-		return mathx.Sample{}, false
-	}
-	p := q.Plans[planHash]
-	if p == nil {
-		return mathx.Sample{}, false
-	}
-	var acc mathx.Welford
-	for _, iv := range p.window(from, to) {
-		acc.Merge(iv.Welford(m))
-	}
-	if acc.N == 0 {
-		return mathx.Sample{}, false
-	}
-	return mathx.FromWelford(acc), true
-}
-
 // QueryWindowSample aggregates a query across all its plans.
 func (s *Store) QueryWindowSample(queryHash uint64, m Metric, from, to time.Time) (mathx.Sample, bool) {
 	s.mu.RLock()

@@ -20,7 +20,7 @@ type Options struct {
 	Workers int
 	// Chaos additionally runs the scenario under the default
 	// fault-injection schedule (engine DDL failures, control-plane
-	// crashes, lossy telemetry).
+	// crashes, lossy Query Store).
 	Chaos bool
 }
 

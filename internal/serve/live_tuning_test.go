@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"autoindex/internal/controlplane"
+	"autoindex/internal/metrics"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 	"autoindex/internal/wire"
 	"autoindex/internal/workload"
 )
@@ -29,8 +29,8 @@ func TestLiveWorkloadDrivesTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub(256)
-	plane := controlplane.New(controlplane.Config{}, clock, controlplane.NewMemStore(), hub)
+	reg := metrics.NewRegistry()
+	plane := controlplane.New(controlplane.Config{Metrics: reg}, clock, controlplane.NewMemStore())
 	plane.Manage(tn.DB, "server-0", controlplane.Settings{})
 
 	_, addr, _ := startServer(t, Config{Lookup: lookupOne(tn.DB)})
@@ -68,11 +68,11 @@ func TestLiveWorkloadDrivesTuning(t *testing.T) {
 	if live != int64(executed) {
 		t.Fatalf("live executions = %d, want %d (total %d)", live, executed, total)
 	}
-	if got := hub.Counter("analysis.live_workload"); got < 1 {
-		t.Fatalf("analysis.live_workload = %d, want >= 1", got)
+	if got := reg.Counter(controlplane.DescAnalysisLiveWorkload).Value(); got < 1 {
+		t.Fatalf("controlplane.analysis_live_workload = %d, want >= 1", got)
 	}
-	if got := hub.Counter("recommendations.live_driven"); got < 1 {
-		t.Fatalf("recommendations.live_driven = %d, want >= 1", got)
+	if got := reg.Counter(controlplane.DescRecsLiveDriven).Value(); got < 1 {
+		t.Fatalf("controlplane.recommendations_live_driven = %d, want >= 1", got)
 	}
 	// The recommendation's impacted queries must include statements the
 	// client actually executed over the wire.

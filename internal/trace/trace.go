@@ -1,28 +1,22 @@
 // Package trace records lightweight span trees for tuning work: one
 // root span per (tenant, tuning-session), with children for the DTA
 // pass, missing-index pass, implementation, and validation. Spans are
-// not a separate storage system — on End they become telemetry Hub
-// events (Kind "span"), so the existing auditing surface (Events,
-// Snapshot, chaos droppers) sees them like any other telemetry.
+// not a separate storage system — on End they feed the trace.spans
+// counter and the trace.span_ms histogram of the run's metrics
+// registry, and nothing else.
 //
-// Determinism: span IDs are sequence numbers per tenant handed out
-// under a mutex, and durations come from the simulation clock, so a
-// seeded run produces the same spans in the same order — provided
-// spans are only started from serial control-plane sections. The
-// parallel tenant-replay paths use plain metrics counters instead;
-// emitting hub events from a worker pool would make event order (and
-// the chaos dropper's RNG consumption) scheduling-dependent.
+// Determinism: durations come from the simulation clock, so a seeded
+// run observes the same span durations — provided spans are only
+// started from serial control-plane sections. The parallel
+// tenant-replay paths use plain metrics counters instead.
 package trace
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"autoindex/internal/metrics"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 )
 
 // Span-layer metrics, registered at package level like every other
@@ -39,85 +33,43 @@ var (
 // spans whose methods are no-ops, so instrumented code never checks
 // for enablement.
 type Tracer struct {
-	hub   *telemetry.Hub
 	clock sim.Clock
 	reg   *metrics.Registry
-
-	mu  sync.Mutex
-	seq map[string]int64 // per-tenant span sequence → deterministic IDs
 }
 
-// New builds a tracer that emits into hub and timestamps with clock.
+// New builds a tracer that timestamps with clock and records into reg.
 // clock must be the simulation clock — the metricsdiscipline lint
 // check flags a tracer driven by sim.WallClock. reg may be nil.
-func New(hub *telemetry.Hub, clock sim.Clock, reg *metrics.Registry) *Tracer {
-	return &Tracer{hub: hub, clock: clock, reg: reg, seq: make(map[string]int64)}
+func New(clock sim.Clock, reg *metrics.Registry) *Tracer {
+	return &Tracer{clock: clock, reg: reg}
 }
 
-// Span is one timed unit of tuning work. Spans form trees via Child;
-// IDs encode the tree ("db42#3" root, "db42#3.1" first child).
+// Span is one timed unit of tuning work. Spans form trees via Child.
 type Span struct {
-	tracer   *Tracer
-	tenant   string
-	name     string
-	id       string
-	start    time.Time
-	mu       sync.Mutex
-	attrs    []string
-	children int64
-	ended    bool
+	tracer *Tracer
+	start  time.Time
+	mu     sync.Mutex
+	ended  bool
 }
 
-// Start opens a root span for one tenant. Call End to record it.
-func (t *Tracer) Start(tenant, name string) *Span {
+// Start opens a root span. Call End to record it.
+func (t *Tracer) Start() *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.seq[tenant]++
-	n := t.seq[tenant]
-	t.mu.Unlock()
-	return &Span{
-		tracer: t,
-		tenant: tenant,
-		name:   name,
-		id:     fmt.Sprintf("%s#%d", tenant, n),
-		start:  t.clock.Now(),
-	}
+	return &Span{tracer: t, start: t.clock.Now()}
 }
 
 // Child opens a sub-span under s. Safe on a nil receiver.
-func (s *Span) Child(name string) *Span {
+func (s *Span) Child() *Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	s.children++
-	n := s.children
-	s.mu.Unlock()
-	return &Span{
-		tracer: s.tracer,
-		tenant: s.tenant,
-		name:   name,
-		id:     fmt.Sprintf("%s.%d", s.id, n),
-		start:  s.tracer.clock.Now(),
-	}
+	return &Span{tracer: s.tracer, start: s.tracer.clock.Now()}
 }
 
-// Annotate attaches a key=value attribute to the span's eventual
-// telemetry detail. Values must not contain customer data — they land
-// in the Hub verbatim.
-func (s *Span) Annotate(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, fmt.Sprintf("%s=%v", key, value))
-	s.mu.Unlock()
-}
-
-// End closes the span: computes the virtual duration, emits one Hub
-// event, and feeds the span metrics. Ending twice is a no-op.
+// End closes the span and feeds its virtual duration to the span
+// metrics. Ending twice is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -128,31 +80,9 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	attrs := strings.Join(s.attrs, " ")
 	s.mu.Unlock()
 
-	now := s.tracer.clock.Now()
-	dur := now.Sub(s.start)
-	detail := fmt.Sprintf("%s id=%s dur_ms=%d", s.name, s.id, dur.Milliseconds())
-	if attrs != "" {
-		detail += " " + attrs
-	}
-	if s.tracer.hub != nil {
-		s.tracer.hub.Emit(telemetry.Event{
-			At:       now,
-			Database: s.tenant,
-			Kind:     "span",
-			Detail:   detail,
-		})
-	}
+	dur := s.tracer.clock.Now().Sub(s.start)
 	s.tracer.reg.Counter(descSpans).Inc()
 	s.tracer.reg.Histogram(descSpanMillis).ObserveDuration(dur)
-}
-
-// ID returns the span's deterministic identifier ("" for nil spans).
-func (s *Span) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
 }

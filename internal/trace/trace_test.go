@@ -1,70 +1,46 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"autoindex/internal/metrics"
 	"autoindex/internal/sim"
-	"autoindex/internal/telemetry"
 )
 
 func TestSpanTree(t *testing.T) {
 	clock := sim.NewClock()
-	hub := telemetry.NewHub(0)
 	reg := metrics.NewRegistry()
-	tr := New(hub, clock, reg)
+	tr := New(clock, reg)
 
-	root := tr.Start("db01", "tuning-session")
+	root := tr.Start()
 	clock.Advance(2 * time.Second)
-	child := root.Child("dta")
+	child := root.Child()
 	clock.Advance(500 * time.Millisecond)
-	child.Annotate("candidates", 7)
 	child.End()
 	root.End()
 	root.End() // idempotent
+	child.End()
 
-	// Second session for the same tenant gets the next sequence number.
-	again := tr.Start("db01", "tuning-session")
-	if got := again.ID(); got != "db01#2" {
-		t.Fatalf("second root span id = %q, want db01#2", got)
+	if got := reg.Counter(descSpans).Value(); got != 2 {
+		t.Fatalf("trace.spans = %d, want 2 (child and root, each once)", got)
 	}
-	other := tr.Start("db02", "tuning-session")
-	if got := other.ID(); got != "db02#1" {
-		t.Fatalf("other tenant span id = %q, want db02#1", got)
+	h := reg.Histogram(descSpanMillis)
+	if got := h.Count(); got != 2 {
+		t.Fatalf("trace.span_ms count = %d, want 2", got)
 	}
-
-	var spans []telemetry.Event
-	for _, e := range hub.Events() {
-		if e.Kind == "span" {
-			spans = append(spans, e)
-		}
-	}
-	if len(spans) != 2 {
-		t.Fatalf("got %d span events, want 2 (child then root)", len(spans))
-	}
-	// Children end before their parents, so the child event comes first.
-	if !strings.Contains(spans[0].Detail, "dta id=db01#1.1 dur_ms=500") {
-		t.Errorf("child detail = %q", spans[0].Detail)
-	}
-	if !strings.Contains(spans[0].Detail, "candidates=7") {
-		t.Errorf("child detail missing annotation: %q", spans[0].Detail)
-	}
-	if !strings.Contains(spans[1].Detail, "tuning-session id=db01#1 dur_ms=2500") {
-		t.Errorf("root detail = %q", spans[1].Detail)
-	}
-	if spans[0].Database != "db01" {
-		t.Errorf("span tenant = %q, want db01", spans[0].Database)
+	// The child covers 500ms; the root covers the whole 2.5s.
+	if got := h.Sum(); got != 500+2500 {
+		t.Fatalf("trace.span_ms sum = %d, want 3000", got)
 	}
 }
 
 func TestSpanMetrics(t *testing.T) {
 	clock := sim.NewClock()
 	reg := metrics.NewRegistry()
-	tr := New(nil, clock, reg) // no hub: metrics still flow
+	tr := New(clock, reg)
 
-	s := tr.Start("db09", "validate")
+	s := tr.Start()
 	clock.Advance(42 * time.Millisecond)
 	s.End()
 
@@ -78,15 +54,15 @@ func TestSpanMetrics(t *testing.T) {
 
 func TestNilTracerAndSpan(t *testing.T) {
 	var tr *Tracer
-	s := tr.Start("db01", "x")
+	s := tr.Start()
 	if s != nil {
 		t.Fatal("nil tracer must return a nil span")
 	}
-	s.Annotate("k", "v")
-	c := s.Child("y")
+	c := s.Child()
 	c.End()
 	s.End()
-	if s.ID() != "" {
-		t.Fatal("nil span ID must be empty")
-	}
+
+	// A tracer without a registry still hands out spans; End is a no-op
+	// on the nil registry.
+	New(sim.NewClock(), nil).Start().End()
 }
